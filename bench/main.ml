@@ -700,12 +700,25 @@ let e11 () =
 
 (* ------------------------------------------------------------------ E12 *)
 
+(* --check-recovery turns E12 into a pass/fail gate (CI): recovery's
+   journal scan must read at most [recovery_read_bound] pages per disk page
+   at every row.  Page reads are counted, not timed, so the gate is
+   noise-free; a scan that re-reads the disk once per record exceeds it by
+   orders of magnitude.  The rest of recovery (rebuilding the indexes from
+   the replayed chains) reads delta and snapshot blobs per version; it is
+   reported but not gated. *)
+let check_recovery = ref false
+let recovery_read_bound = 2.0
+
 let e12 () =
   section "E12  Durability: journaling overhead and recovery time"
     "Beyond the paper: the delta index of Section 7.1 is in-memory, so a\n\
      crash loses the version history.  The commit journal appends one\n\
      record per mutating operation; recovery scans the disk, replays the\n\
-     journal, and rebuilds every derived index.";
+     journal, and rebuilds every derived index.  'pages read' counts the\n\
+     buffer-pool reads (hits + misses) of the journal scan alone and of\n\
+     the whole recovery.";
+  let failures = ref [] in
   let rows =
     List.map
       (fun versions ->
@@ -716,30 +729,75 @@ let e12 () =
         let durable_us =
           time_us ~runs:3 (fun () -> ignore (Load.load_db ~config sp))
         in
+        let disk = Db.disk db in
         let recover_us =
-          time_us ~runs:3 (fun () -> ignore (Db.recover (Db.disk db) config))
+          time_us ~runs:3 (fun () -> ignore (Db.recover disk config))
         in
-        let journal_pages =
+        let pages_read f =
+          let stats = Txq_store.Disk.stats disk in
+          let before = Txq_store.Io_stats.copy stats in
+          f ();
+          let io = Txq_store.Io_stats.diff ~after:stats ~before in
+          io.Txq_store.Io_stats.cache_hits + io.Txq_store.Io_stats.cache_misses
+        in
+        let scan_read =
+          pages_read (fun () ->
+              let pool =
+                Txq_store.Buffer_pool.create
+                  ~capacity:config.Config.buffer_pool_pages disk
+              in
+              ignore (Txq_store.Journal.recover pool))
+        in
+        let recover_read =
+          pages_read (fun () -> ignore (Db.recover disk config))
+        in
+        let disk_pages = Txq_store.Disk.page_count disk in
+        let journal_pages, records =
           match Db.journal db with
-          | Some j -> Txq_store.Journal.page_count j
-          | None -> 0
+          | Some j ->
+            (Txq_store.Journal.page_count j, Txq_store.Journal.record_count j)
+          | None -> (0, 0)
         in
+        let reads_per_page = float scan_read /. float disk_pages in
+        if reads_per_page > recovery_read_bound then
+          failures :=
+            Printf.sprintf
+              "%d versions/doc: the journal scan read %d pages of a %d-page \
+               disk (%.1f per page, bound %.1f)"
+              versions scan_read disk_pages reads_per_page recovery_read_bound
+            :: !failures;
         [
           string_of_int versions;
+          fmt_int records;
           fmt_us plain_us;
           fmt_us durable_us;
           Printf.sprintf "%.2fx" (durable_us /. plain_us);
           fmt_us recover_us;
+          Printf.sprintf "%.0f" (recover_us /. float records);
+          fmt_int scan_read;
+          fmt_int recover_read;
+          fmt_int disk_pages;
           fmt_int journal_pages;
           fmt_int (Db.live_pages db);
         ])
-      [8; 32; 128]
+      [8; 32; 128; 512]
   in
   print_table ~title:"E12: commit journaling and recovery (4 documents)"
     ~columns:
-      ["versions/doc"; "ingest"; "ingest+journal"; "overhead"; "recover";
+      ["versions/doc"; "records"; "ingest"; "ingest+journal"; "overhead";
+       "recover"; "us/record"; "pages read: journal scan";
+       "pages read: recover"; "disk pages";
        "journal pages"; "live pages"]
-    rows
+    rows;
+  if !check_recovery then
+    match !failures with
+    | [] ->
+      Printf.printf
+        "  recovery check ok: journal scan <= %.1f page reads per disk page\n"
+        recovery_read_bound
+    | fs ->
+      List.iter (fun f -> Printf.eprintf "E12 FAIL: %s\n" f) (List.rev fs);
+      exit 1
 
 (* ------------------------------------------------------------------ E13 *)
 
@@ -2290,6 +2348,7 @@ let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let bechamel = List.mem "--bechamel" args in
   smoke := List.mem "--smoke" args;
+  check_recovery := List.mem "--check-recovery" args;
   check_overhead := List.mem "--check-overhead" args;
   check_scan := List.mem "--check-scan" args;
   check_vacuum := List.mem "--check-vacuum" args;

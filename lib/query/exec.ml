@@ -212,13 +212,19 @@ and nav_binding ctx rb nav =
   | Some teid -> teid_binding ctx teid
   | None -> V_null
 
+(* PREVIOUS/NEXT/CURRENT step to an adjacent {e document} version, which
+   need not contain the element: it is [V_null] there.  The subtree found
+   by that check is the binding's tree, so rendering looks it up once. *)
 and teid_binding ctx teid =
-  V_binding
-    {
-      rb_teid = teid;
-      rb_time = teid.Eid.Temporal.ts;
-      rb_tree = lazy_subtree ctx teid;
-    }
+  match subtree_at ctx teid with
+  | Some tree ->
+    V_binding
+      {
+        rb_teid = teid;
+        rb_time = teid.Eid.Temporal.ts;
+        rb_tree = Lazy.from_val tree;
+      }
+  | None -> V_null
 
 (* --- comparisons ------------------------------------------------------------ *)
 

@@ -194,10 +194,15 @@ let group_sync t ~sleep ticket =
    nothing complete beyond it may simply not have been flushed yet
    ([Tail_wait]): more bytes may arrive, or — after a crash — never will.
 
-   Positive page decodes are cached (journal pages are never rewritten);
-   pages that decode to [None] are re-examined on every call, since a freed
-   blob page can be reallocated to the journal later.  The 4-byte magic
-   check rejects non-journal pages before any digest work. *)
+   Positive page decodes are cached (journal pages are never rewritten),
+   and a scan collects every record then complete on disk.  [tail_next]
+   therefore serves the next sequence number straight from that cache when
+   it is already complete, and rescans only when it is not: every
+   [Tail_wait] and [Tail_gap] verdict still follows a fresh scan.  Draining
+   a disk thus reads it once plus once per missing sequence number, not
+   once per record.  A rescan re-examines the pages that decoded to [None],
+   since a freed blob page can be reallocated to the journal later; the
+   4-byte magic check rejects non-journal pages before any digest work. *)
 
 type tail = Tail_record of string | Tail_wait | Tail_gap of int
 
@@ -253,9 +258,11 @@ let tailer_scan tl =
 let tailer_complete (c, slots) = c > 0 && Array.for_all (fun s -> s <> "") slots
 
 let tail_next tl =
-  tailer_scan tl;
   let seq = tl.tl_next_seq in
-  match Hashtbl.find_opt tl.tl_by_seq seq with
+  let next_entry () = Hashtbl.find_opt tl.tl_by_seq seq in
+  if not (Option.fold ~none:false ~some:tailer_complete (next_entry ())) then
+    tailer_scan tl;
+  match next_entry () with
   | Some ((_, slots) as entry) when tailer_complete entry ->
     tl.tl_next_seq <- seq + 1;
     Hashtbl.remove tl.tl_by_seq seq;

@@ -99,9 +99,11 @@ val tailer : Buffer_pool.t -> tailer
 
 val tail_next : tailer -> tail
 (** Advances past the returned record or gap; {!Tail_wait} does not move
-    the cursor.  Each call rescans pages not yet known to be journal pages
-    (a cheap magic-tag check filters non-journal pages), so new appends are
-    picked up. *)
+    the cursor.  When the next record is already known complete from an
+    earlier scan it is returned without touching the disk; otherwise the
+    call rescans pages not yet known to be journal pages (a cheap magic-tag
+    check filters non-journal pages), so new appends are picked up and
+    every {!Tail_wait} or [Tail_gap] follows a fresh scan. *)
 
 val tailer_position : tailer -> int
 (** The sequence number the next {!tail_next} will consider. *)
@@ -115,6 +117,8 @@ type recovery = {
 }
 
 val recover : Buffer_pool.t -> recovery
-(** Scans every page of the underlying disk.  Also the read path for a
-    clean (uncrashed) restart: on a disk without journal pages it returns
-    an empty journal. *)
+(** Scans every page of the underlying disk once, plus once more per
+    sequence number that is not complete (each burned number, and the
+    frontier): O(pages + records) on a disk with few crashes.  Also the
+    read path for a clean (uncrashed) restart: on a disk without journal
+    pages it returns an empty journal. *)

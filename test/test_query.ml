@@ -255,7 +255,35 @@ let test_previous () =
   (* previous version of the current Napoli element: price 15 *)
   Alcotest.(check string) "previous Napoli"
     "<results><result><restaurant><name>Napoli</name><price>15</price></restaurant></result></results>"
-    (Print.to_string out)
+    (Print.to_string out);
+  (* Akropolis is inserted at 15/01: the previous document version exists
+     but holds no such element, so PREVIOUS is null *)
+  let out =
+    run db
+      {|SELECT PREVIOUS(R) FROM doc("guide.com/restaurants.xml")[15/01/2001]/guide/restaurant R
+        WHERE R/name = "Akropolis"|}
+  in
+  Alcotest.(check string) "previous of an inserted restaurant"
+    "<results><result><null/></result></results>" (Print.to_string out);
+  (* ... and once it is deleted, NEXT of its last version is null too *)
+  ignore
+    (Txq_db.Db.update_document db ~url ~ts:(ts "10/02/2001")
+       (parse_xml
+          "<guide><restaurant><name>Napoli</name><price>18</price></restaurant></guide>"));
+  let out =
+    run db
+      {|SELECT NEXT(R) FROM doc("guide.com/restaurants.xml")[31/01/2001]/guide/restaurant R
+        WHERE R/name = "Akropolis"|}
+  in
+  Alcotest.(check string) "next of a deleted restaurant"
+    "<results><result><null/></result></results>" (Print.to_string out);
+  let out =
+    run db
+      {|SELECT CURRENT(R) FROM doc("guide.com/restaurants.xml")[31/01/2001]/guide/restaurant R
+        WHERE R/name = "Akropolis"|}
+  in
+  Alcotest.(check string) "current of a deleted restaurant"
+    "<results><result><null/></result></results>" (Print.to_string out)
 
 let test_current_of_snapshot () =
   let db = fig1_db () in

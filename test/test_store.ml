@@ -344,6 +344,61 @@ let test_tailer_gap_vs_wait () =
    | Journal.Tail_record s -> Alcotest.(check string) "after gap" "second" s
    | _ -> Alcotest.fail "expected the record after the gap")
 
+(* The first scan already sees a burned sequence number with complete
+   records beyond it: the tailer reports the gap exactly once, then the
+   later records in order (served from that scan), then Tail_wait. *)
+let test_tailer_gap_in_first_scan () =
+  let disk, j = mk_journal () in
+  Journal.append j "first";
+  Disk.fail_after_writes disk 2;
+  (match Journal.append j (String.make 9_000 'y') with
+   | () -> Alcotest.fail "expected a crash"
+   | exception Disk.Crash -> ());
+  Disk.clear_fault disk;
+  let r = Journal.recover (Buffer_pool.create ~capacity:32 disk) in
+  List.iter (Journal.append r.Journal.journal) [ "second"; "third"; "fourth" ];
+  let tl = Journal.tailer (Buffer_pool.create ~capacity:32 disk) in
+  let next () =
+    match Journal.tail_next tl with
+    | Journal.Tail_record s -> "record " ^ s
+    | Journal.Tail_gap seq -> Printf.sprintf "gap %d" seq
+    | Journal.Tail_wait -> "wait"
+  in
+  let got = List.init 7 (fun _ -> next ()) in
+  Alcotest.(check (list string)) "stream"
+    [ "record first"; "gap 1"; "record second"; "record third";
+      "record fourth"; "wait"; "wait" ]
+    got;
+  Alcotest.(check int) "position after the frontier" 5
+    (Journal.tailer_position tl)
+
+(* Recovery reads the disk once, not once per record: a journal of 240
+   records interleaved with 1,200 blob pages is recovered with at most two
+   reads per disk page (one full scan, plus the frontier's rescan). *)
+let test_recover_scan_bound () =
+  let disk = Disk.create () in
+  let pool = Buffer_pool.create ~capacity:32 disk in
+  let j = Journal.create pool in
+  let store = Blob_store.create pool in
+  let records = List.init 240 (Printf.sprintf "record-%d") in
+  List.iter
+    (fun r ->
+      ignore (Blob_store.put store (String.make (5 * Disk.page_size) 'b')
+              : Blob_store.blob);
+      Journal.append j r)
+    records;
+  let pages = Disk.page_count disk in
+  Alcotest.(check bool) "at least 1,000 blob pages" true (pages - 240 >= 1_000);
+  let rpool = Buffer_pool.create ~capacity:32 disk in
+  let before = Io_stats.copy (Buffer_pool.stats rpool) in
+  let r = Journal.recover rpool in
+  let io = Io_stats.diff ~after:(Io_stats.copy (Buffer_pool.stats rpool)) ~before in
+  Alcotest.(check (list string)) "records" records r.Journal.records;
+  let reads = io.Io_stats.cache_hits + io.Io_stats.cache_misses in
+  if reads > 2 * pages then
+    Alcotest.failf "recover read %d pages of a %d-page disk (bound %d)" reads
+      pages (2 * pages)
+
 (* --- disk directory save/load ------------------------------------------ *)
 
 let fill_disk () =
@@ -440,6 +495,10 @@ let () =
           Alcotest.test_case "streams records in order" `Quick
             test_tailer_streams;
           Alcotest.test_case "gap vs wait" `Quick test_tailer_gap_vs_wait;
+          Alcotest.test_case "gap in the first scan" `Quick
+            test_tailer_gap_in_first_scan;
+          Alcotest.test_case "recover reads the disk once" `Quick
+            test_recover_scan_bound;
         ] );
       ( "buffer_pool",
         [
